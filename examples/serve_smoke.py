@@ -4,7 +4,8 @@
 Drives the service the way an operator would — through the CLI, over
 HTTP, with signals — and asserts the overload and shutdown contracts:
 
-1. the server comes up and reports healthy;
+1. the server comes up and reports healthy, and refuses an
+   out-of-range parameter with 400;
 2. a 4x-capacity concurrent burst sheds the excess with 429 +
    ``Retry-After`` while ``/healthz`` stays green;
 3. SIGTERM drains gracefully: exit code 0, "drained, exiting" on
@@ -92,6 +93,14 @@ def main() -> None:
             assert status == 200 and body["ok"], (status, body)
             assert len(Manifest(manifest_dir).replay()) == 1
             print("single request ok, journal seeded")
+
+            # An out-of-range parameter is a 400, not a degraded 200.
+            status, _, body = request(
+                port, "POST", "/minimize",
+                {"pla": PLA, "method": "heuristic", "k": 1_000_000},
+            )
+            assert status == 400 and body["error"]["code"] == "usage", (status, body)
+            print("out-of-range k refused with 400")
 
             # 4x-capacity burst: the excess must shed, liveness holds.
             results: list[tuple[int, dict]] = []

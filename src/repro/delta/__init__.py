@@ -6,9 +6,9 @@ package turns "minimize f′ where f′ = f ⊕ {small edit}" into a patch
 operation instead of a cold solve:
 
 * :mod:`repro.delta.context` — :class:`MinimizationContext`, a reusable
-  snapshot of a completed exact minimization (candidate list, packed
-  coverage masks, partition-trie skeleton with its structural
-  fingerprint, the base cover);
+  snapshot of a completed exact minimization (candidate list in
+  generation order, the base cover, the solver parameters; its packed
+  coverage masks are built on first warm use);
 * :mod:`repro.delta.reminimize` — :func:`reminimize` /
   :func:`warm_minimize`, which classify the edit, patch the covering
   matrix by bit surgery, and re-solve with the identical solver (so a

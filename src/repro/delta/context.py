@@ -6,15 +6,14 @@ minimization learned that is reusable for a near-duplicate function:
 * the EPPP candidate list **in generation order** (order matters —
   greedy covering is order-sensitive, and bit-identical warm results
   depend on replaying the exact same column stream);
-* the pre-drop coverage masks and costs over the base row list, so the
-  covering matrix can be patched by bit surgery instead of rebuilt
-  (candidates that covered nothing for the base on-set keep their
-  positions — they may start covering rows after an edit);
-* the partition-trie skeleton of the candidates with its interned
-  basis table and structural :attr:`~repro.trie.PartitionTrie.fingerprint`
-  (one integer comparison detects a stale/mutated snapshot);
 * the base cover and the solver parameters that produced it, so the
   cold fallback can mirror them exactly.
+
+Capture is lazy: the pre-drop coverage masks and costs over the base
+row list (candidates that covered nothing for the base on-set keep
+their positions — they may start covering rows after an edit) are
+computed on the context's first warm use and cached on it, so a solve
+that is never edited pays no mask pass.
 
 Snapshots are only built from *untruncated* generations: a capped
 generation's candidate stream is an artifact of where the cap landed,
@@ -23,7 +22,8 @@ not of the function, so nothing about it transfers to an edit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from repro.boolfunc.function import BoolFunc
@@ -31,12 +31,12 @@ from repro.core.pseudocube import Pseudocube
 from repro.core.spp_form import SppForm
 from repro.kernels.coverage import masks_and_costs
 from repro.minimize.exact import SppResult
-from repro.trie.partition_trie import PartitionTrie
 
 __all__ = ["MinimizationContext", "build_context", "toggle_points"]
 
-# Snapshots beyond this many candidates cost more to capture (mask pass
-# + trie build) than the warm path saves on typical service functions.
+# Contexts beyond this many candidates hold more memory, and pay a
+# larger mask pass on their first warm use, than the warm path saves on
+# typical service functions.
 MAX_CONTEXT_CANDIDATES = 100_000
 
 
@@ -46,19 +46,12 @@ class MinimizationContext:
 
     func: BoolFunc
     candidates: list[Pseudocube]
-    rows: list[int]
-    masks: list[int]
-    costs: list[int]
     form: SppForm
     covering: str
     covering_optimal: bool
     backend: str
     max_pseudoproducts: int | None
-    generation_seconds: float
     generation_comparisons: int
-    covering_stats: dict | None
-    trie: PartitionTrie = field(repr=False)
-    trie_fingerprint: int = 0
 
     @property
     def cost(self) -> int:
@@ -72,9 +65,26 @@ class MinimizationContext:
     def num_candidates(self) -> int:
         return len(self.candidates)
 
-    def is_stale(self) -> bool:
-        """True if the trie skeleton mutated since the snapshot."""
-        return self.trie.fingerprint != self.trie_fingerprint
+    @cached_property
+    def rows(self) -> list[int]:
+        """The base on-set in covering-row order."""
+        return sorted(self.func.on_set)
+
+    @cached_property
+    def _mask_pass(self) -> tuple[list[int], list[int]]:
+        # Two threads racing on the first build compute the same value.
+        return masks_and_costs(self.rows, self.candidates)
+
+    @property
+    def masks(self) -> list[int]:
+        """Per-candidate coverage masks over :attr:`rows`, before the
+        zero-mask drop."""
+        return self._mask_pass[0]
+
+    @property
+    def costs(self) -> list[int]:
+        """Per-candidate literal costs, in candidate order."""
+        return self._mask_pass[1]
 
 
 def build_context(
@@ -91,8 +101,7 @@ def build_context(
     Returns None for generation-free results (empty on-set, affine
     fast path — a cold re-solve of those is already trivial), for
     truncated generations (the candidate stream is cap-shaped, not
-    function-shaped), and for candidate lists past ``max_candidates``
-    (the snapshot would cost more than it saves).
+    function-shaped), and for candidate lists past ``max_candidates``.
     """
     generation = result.generation
     if generation is None or generation.truncated:
@@ -100,27 +109,15 @@ def build_context(
     candidates = list(generation.eppps)
     if not candidates or len(candidates) > max_candidates:
         return None
-    rows = sorted(func.on_set)
-    masks, costs = masks_and_costs(rows, candidates)
-    trie: PartitionTrie = PartitionTrie()
-    for pc in candidates:
-        trie.insert(pc)
     return MinimizationContext(
         func=func,
         candidates=candidates,
-        rows=rows,
-        masks=masks,
-        costs=costs,
         form=result.form,
         covering=covering,
         covering_optimal=result.covering_optimal,
         backend=backend,
         max_pseudoproducts=max_pseudoproducts,
-        generation_seconds=result.seconds_generation,
         generation_comparisons=generation.total_comparisons,
-        covering_stats=result.covering_stats,
-        trie=trie,
-        trie_fingerprint=trie.fingerprint,
     )
 
 

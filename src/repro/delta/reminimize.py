@@ -10,9 +10,11 @@ the only work left is the covering step:
 1. patch the base coverage masks by bit surgery — delete the mask bits
    of retired rows, splice in the bits of appended rows (computed with
    the vectorized structure-grouped kernel over just the added points);
-2. re-apply :func:`~repro.kernels.coverage.build_problem`'s zero-mask
-   drop filter, producing a covering problem **bit-identical** to the
-   one a cold solve would build;
+2. apply the zero-mask drop of
+   :func:`~repro.minimize.covering.problem_from_masks` — the same filter
+   :func:`~repro.kernels.coverage.build_problem` runs — producing a
+   covering problem **bit-identical** to the one a cold solve would
+   build;
 3. run the identical solver.  Identical problem + deterministic solver
    ⇒ identical cover, so warm results match cold results bit for bit.
    In exact mode the prior cover is additionally passed as a warm-start
@@ -38,8 +40,7 @@ from repro.core.spp_form import SppForm
 from repro.delta.context import MinimizationContext
 from repro.kernels.coverage import coverage_masks
 from repro.minimize import covering as cov
-from repro.minimize.covering import CoveringProblem
-from repro.minimize.exact import SppResult, minimize_spp
+from repro.minimize.exact import SppResult, minimize_spp, trivial_result
 
 __all__ = [
     "DEFAULT_MAX_EDIT",
@@ -84,7 +85,7 @@ def eligibility(
     """Why ``func`` cannot reuse ``base`` — or None when it can.
 
     Reason slugs: ``dimension-changed``, ``care-set-changed``,
-    ``edit-too-large``, ``context-stale``.
+    ``edit-too-large``.
     """
     if func.n != base.func.n:
         return "dimension-changed"
@@ -92,8 +93,6 @@ def eligibility(
         return "care-set-changed"
     if len(base.func.on_set ^ func.on_set) > max_edit:
         return "edit-too-large"
-    if base.is_stale():
-        return "context-stale"
     return None
 
 
@@ -114,7 +113,7 @@ def _patched_rows_and_masks(
     removed = sorted(on1 - on2)
     added = sorted(on2 - on1)
     if not removed and not added:
-        return list(base.rows), list(base.masks)
+        return base.rows, base.masks
     rows2 = sorted(on2)
     # Delete highest positions first so lower ones stay valid.
     rem_pos = sorted((bisect_left(base.rows, p) for p in removed), reverse=True)
@@ -154,39 +153,14 @@ def warm_minimize(
     reason = eligibility(base, func, max_edit=max_edit)
     if reason is not None:
         raise DeltaIneligible(reason)
-    # Replicate minimize_spp's preamble on the edited function.
-    if not func.on_set:
-        return SppResult(SppForm(func.n, ()), 0, None, True, 0.0, 0.0)
-    if not func.dc_set:
-        t0 = time.perf_counter()
-        try:
-            single = Pseudocube.from_points(func.n, func.on_set)
-        except ValueError:
-            single = None
-        if single is not None:
-            return SppResult(
-                form=SppForm(func.n, (single,)),
-                num_candidates=1,
-                generation=None,
-                covering_optimal=True,
-                seconds_generation=time.perf_counter() - t0,
-                seconds_covering=0.0,
-            )
+    trivial = trivial_result(func)
+    if trivial is not None:
+        return trivial
     t0 = time.perf_counter()
     rows2, masks2 = _patched_rows_and_masks(base, func, budget)
     if budget is not None:
         budget.check()
-    # build_problem's zero-mask drop, on the patched arrays.
-    if 0 in masks2:
-        keep = [i for i, mask in enumerate(masks2) if mask]
-        problem = CoveringProblem(
-            len(rows2),
-            [masks2[i] for i in keep],
-            [base.costs[i] for i in keep],
-            [base.candidates[i] for i in keep],
-        )
-    else:
-        problem = CoveringProblem(len(rows2), masks2, list(base.costs), list(base.candidates))
+    problem = cov.problem_from_masks(len(rows2), masks2, base.costs, base.candidates)
     seed = None
     if base.covering == "exact" and base.form.pseudoproducts:
         index_of: dict[Pseudocube, int] = {}

@@ -18,11 +18,14 @@ from functools import cached_property
 from typing import Any
 
 from repro.boolfunc.function import BoolFunc
+from repro.errors import UsageError
 from repro.serialize import canonical_dumps
 
 __all__ = ["Job", "METHODS", "job_to_dict", "job_from_dict"]
 
 METHODS = ("exact", "bounded", "heuristic", "sp")
+COVERINGS = ("greedy", "exact", "auto")
+BACKENDS = ("index", "trie")
 
 _HASH_VERSION = 2
 
@@ -53,6 +56,24 @@ class Job:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        # Reject what the method reads before any rung runs: the ladder
+        # would otherwise degrade past a bad value and answer anyway.
+        params = self.normalized_params()
+        if self.covering not in COVERINGS:
+            raise UsageError(
+                f"unknown covering {self.covering!r} (one of {', '.join(COVERINGS)})"
+            )
+        if "backend" in params and self.backend not in BACKENDS:
+            raise UsageError(
+                f"unknown backend {self.backend!r} (one of {', '.join(BACKENDS)})"
+            )
+        if "k" in params and not (_is_int(self.k) and 0 <= self.k < self.func.n):
+            raise UsageError(f"k must be in [0, {self.func.n - 1}], got {self.k!r}")
+        if "bound" in params and not (_is_int(self.bound) and self.bound >= 1):
+            raise UsageError(f"bound must be >= 1, got {self.bound!r}")
+        cap = self.max_pseudoproducts
+        if "max_pseudoproducts" in params and cap is not None and not (_is_int(cap) and cap > 0):
+            raise UsageError(f"max_pseudoproducts must be a positive integer, got {cap!r}")
 
     def normalized_params(self) -> dict[str, Any]:
         """The parameters the method reads, and only those."""
@@ -87,6 +108,10 @@ class Job:
     @property
     def display_label(self) -> str:
         return self.label or f"f(n={self.func.n},|on|={len(self.func.on_set)})"
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def job_to_dict(job: Job) -> dict[str, Any]:

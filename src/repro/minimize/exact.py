@@ -30,7 +30,7 @@ from repro.minimize.cost import literal_cost
 from repro.minimize.eppp import EpppResult, GenerationBudgetExceeded, generate_eppp
 from repro.minimize.qm import prime_implicants
 
-__all__ = ["SppResult", "minimize_spp", "cover_with"]
+__all__ = ["SppResult", "minimize_spp", "cover_with", "trivial_result"]
 
 
 @dataclass
@@ -131,6 +131,33 @@ def _prune_candidates(
     return keep
 
 
+def trivial_result(func: BoolFunc) -> SppResult | None:
+    """The result of a function that needs no generation, or None.
+
+    An empty on-set gets the empty form; a completely specified
+    function whose on-set is itself a pseudocube gets that single
+    pseudoproduct (see :func:`minimize_spp`).  Shared with the delta
+    warm path, whose edits can land on either case.
+    """
+    if not func.on_set:
+        return SppResult(SppForm(func.n, ()), 0, None, True, 0.0, 0.0)
+    if func.dc_set:
+        return None
+    t0 = time.perf_counter()
+    try:
+        single = Pseudocube.from_points(func.n, func.on_set)
+    except ValueError:
+        return None
+    return SppResult(
+        form=SppForm(func.n, (single,)),
+        num_candidates=1,
+        generation=None,
+        covering_optimal=True,
+        seconds_generation=time.perf_counter() - t0,
+        seconds_covering=0.0,
+    )
+
+
 def minimize_spp(
     func: BoolFunc,
     *,
@@ -164,23 +191,9 @@ def minimize_spp(
     cancellation raises :class:`repro.errors.BudgetExceeded` /
     :class:`repro.errors.Cancelled` from the inner loops.
     """
-    if not func.on_set:
-        return SppResult(SppForm(func.n, ()), 0, None, True, 0.0, 0.0)
-    if not func.dc_set:
-        t0 = time.perf_counter()
-        try:
-            single = Pseudocube.from_points(func.n, func.on_set)
-        except ValueError:
-            single = None
-        if single is not None:
-            return SppResult(
-                form=SppForm(func.n, (single,)),
-                num_candidates=1,
-                generation=None,
-                covering_optimal=True,
-                seconds_generation=time.perf_counter() - t0,
-                seconds_covering=0.0,
-            )
+    trivial = trivial_result(func)
+    if trivial is not None:
+        return trivial
     try:
         generation = generate_eppp(
             func,

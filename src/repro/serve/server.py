@@ -150,7 +150,7 @@ def jobs_from_payload(payload: dict[str, Any], *, routing: bool = False) -> list
         raise UsageError('request needs "pla" text or a "benchmark" name')
     outputs = range(func.num_outputs)
     if payload.get("output") is not None:
-        o = int(payload["output"])
+        o = _int_field(payload, "output", None)
         if not 0 <= o < func.num_outputs:
             raise UsageError(f"output {o} out of range")
         outputs = [o]
@@ -163,8 +163,8 @@ def jobs_from_payload(payload: dict[str, Any], *, routing: bool = False) -> list
             Job(
                 fo,
                 method=method,
-                k=int(payload.get("k", 0)),
-                bound=int(payload.get("bound", 2)),
+                k=_int_field(payload, "k", 0),
+                bound=_int_field(payload, "bound", 2),
                 covering=str(payload.get("covering", "greedy")),
                 backend=str(payload.get("backend", "index")),
                 max_pseudoproducts=payload.get("max_pseudoproducts"),
@@ -174,6 +174,13 @@ def jobs_from_payload(payload: dict[str, Any], *, routing: bool = False) -> list
     if not jobs:
         raise UsageError("every requested output is constant 0")
     return jobs
+
+
+def _int_field(payload: dict[str, Any], key: str, default: int | None) -> int:
+    try:
+        return int(payload.get(key, default))
+    except (TypeError, ValueError):
+        raise UsageError(f'"{key}" must be an integer') from None
 
 
 @dataclass

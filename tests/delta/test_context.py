@@ -4,9 +4,13 @@ import pytest
 
 from repro.boolfunc.function import BoolFunc
 from repro.core.pseudocube import Pseudocube
-from repro.delta import build_context, toggle_points
+from repro.delta import DeltaIndex, build_context, toggle_points, warm_record_for
+from repro.delta import context as context_module
+from repro.engine import Job
+from repro.engine.ladder import ladder_for
 from repro.kernels.coverage import masks_and_costs
 from repro.minimize.exact import minimize_spp
+from repro.trie.partition_trie import PartitionTrie
 
 FUNC = BoolFunc(3, frozenset({0, 1, 3, 6}), frozenset({5}))
 
@@ -55,12 +59,51 @@ class TestBuildContext:
         assert build_context(FUNC, result) is None
 
     def test_staleness_detected_on_trie_mutation(self):
-        ctx = _context()
-        assert not ctx.is_stale()
+        """A context has no trie and cannot go stale: it owns a copy of
+        the candidate stream, so growing the source generation after
+        capture leaves its candidates and masks as captured."""
+        result = minimize_spp(FUNC)
+        ctx = build_context(FUNC, result)
+        captured = list(result.generation.eppps)
         extra = Pseudocube.from_point(3, 2)
-        if extra not in ctx.trie:
-            ctx.trie.insert(extra)
-        assert ctx.is_stale()
+        result.generation.eppps.append(extra)
+        assert not hasattr(ctx, "trie") and not hasattr(ctx, "is_stale")
+        assert ctx.candidates == captured
+        masks, costs = masks_and_costs(ctx.rows, captured)
+        assert ctx.masks == masks
+        assert ctx.costs == costs
+
+    def test_capture_is_lazy(self, monkeypatch):
+        """Capture keeps the candidate stream and builds no trie; the
+        mask pass runs once, on the context's first warm use."""
+        calls = []
+
+        def counting(rows, candidates):
+            calls.append(len(candidates))
+            return masks_and_costs(rows, candidates)
+
+        monkeypatch.setattr(context_module, "masks_and_costs", counting)
+        tries = []
+        real_init = PartitionTrie.__init__
+
+        def counting_init(self):
+            tries.append(self)
+            real_init(self)
+
+        monkeypatch.setattr(PartitionTrie, "__init__", counting_init)
+        index = DeltaIndex()
+        job = Job(FUNC, method="exact")
+        index.observe(job, ladder_for(job)[0], minimize_spp(FUNC), {"truncated": False})
+        assert len(index) == 1
+        assert calls == [] and tries == []
+        edited = Job(toggle_points(FUNC, [0]), method="exact")
+        first = warm_record_for(edited, index)
+        assert first is not None
+        assert len(calls) == 1
+        second = warm_record_for(edited, index)
+        assert second is not None and second["form"] == first["form"]
+        assert len(calls) == 1
+        assert tries == []
 
 
 class TestTogglePoints:

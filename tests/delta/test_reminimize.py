@@ -95,11 +95,15 @@ class TestEligibility:
         assert eligibility(ctx, edited, max_edit=2) == "edit-too-large"
 
     def test_context_stale(self):
-        ctx = _context()
-        extra = Pseudocube.from_point(4, 2)
-        if extra not in ctx.trie:
-            ctx.trie.insert(extra)
-        assert eligibility(ctx, toggle_points(FUNC, [0])) == "context-stale"
+        """There is no context-stale reason: growing the source
+        generation after capture leaves the context warm-eligible, and
+        the warm form still equals the cold one."""
+        result = minimize_spp(FUNC)
+        ctx = build_context(FUNC, result)
+        result.generation.eppps.append(Pseudocube.from_point(4, 2))
+        edited = toggle_points(FUNC, [0])
+        assert eligibility(ctx, edited) is None
+        assert warm_minimize(ctx, edited).form == minimize_spp(edited).form
 
     def test_warm_minimize_raises_on_ineligible(self):
         ctx = _context()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.boolfunc.function import BoolFunc
 from repro.engine.job import Job, job_from_dict, job_to_dict
+from repro.errors import UsageError
 
 
 def _func(on=(1, 2, 4), dc=(), n=3):
@@ -62,6 +63,28 @@ class TestContentHash:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             Job(_func(), method="quantum")
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"method": "heuristic", "k": 3},
+            {"method": "heuristic", "k": -1},
+            {"method": "bounded", "bound": 0},
+            {"method": "sp", "covering": "bogus"},
+            {"method": "exact", "backend": "bogus"},
+            {"method": "exact", "max_pseudoproducts": 0},
+            {"method": "exact", "max_pseudoproducts": True},
+        ],
+    )
+    def test_invalid_parameter_rejected(self, kwargs):
+        with pytest.raises(UsageError):
+            Job(_func(), **kwargs)
+
+    def test_unread_parameters_unchecked(self):
+        Job(_func(), method="exact", k=99, bound=0)
+        Job(_func(), method="sp", backend="bogus", max_pseudoproducts=-1)
 
 
 class TestRoundTrip:

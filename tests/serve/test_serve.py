@@ -88,6 +88,25 @@ class TestEndpoints:
         assert _get(port, "/nope")[0] == 404
         status, _, body = _request(port, "POST", "/nope", {})
         assert status == 404 and not body["ok"]
+        # Out-of-range parameters are refused up front, not served by a
+        # degraded rung.
+        for bad in (
+            {"method": "heuristic", "k": 1_000_000},
+            {"method": "heuristic", "k": 3},  # n = 3
+            {"method": "heuristic", "k": -1},
+            {"method": "bounded", "bound": 0},
+            {"covering": "bogus"},
+            {"backend": "bogus"},
+            {"max_pseudoproducts": 0},
+            {"max_pseudoproducts": "many"},
+            {"method": "heuristic", "k": "abc"},
+            {"output": "x"},
+        ):
+            status, _, body = _post(port, {"pla": PLA, **bad})
+            assert status == 400, bad
+            assert body["error"]["code"] == "usage", bad
+        # Parameters the method does not read are not checked.
+        assert _post(port, {"pla": PLA, "method": "sp", "k": 99})[0] == 200
 
     def test_max_rung_caps_the_ladder(self, service):
         _, port = service()

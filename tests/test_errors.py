@@ -79,3 +79,12 @@ class TestCliMapping:
         code = main(["minimize", str(tmp_path / "missing.pla")])
         assert code == EXIT_PARSE
         assert "cannot read PLA file" in capsys.readouterr().err
+
+    def test_invalid_job_parameter_is_clean_exit_2(self, capsys):
+        from repro.cli import main
+
+        code = main(["batch", "adr2", "--method", "heuristic", "-k", "9"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "k must be in [0, 3]" in err
+        assert "Traceback" not in err
